@@ -14,6 +14,7 @@ factor) so a regression in the reproduction fails the harness.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from pathlib import Path
@@ -26,6 +27,19 @@ if str(_SRC) not in sys.path:
 
 #: Scale preset used by the accuracy benchmarks (seconds-to-minutes).
 ACCURACY_SCALE = "small"
+
+#: ``REPRO_BENCH_WRITE=1`` lets the benchmarks rewrite their committed
+#: ``BENCH_*.json`` result files; without it they measure and assert
+#: exactly the same, but leave the checkout untouched.
+BENCH_WRITE_ENV = "REPRO_BENCH_WRITE"
+
+
+def write_bench_json(path: Path, payload: dict) -> None:
+    """Write a benchmark result file when ``REPRO_BENCH_WRITE=1``."""
+    if os.environ.get(BENCH_WRITE_ENV) == "1":
+        path.write_text(json.dumps(payload, indent=2) + "\n")
+    else:
+        print(f"(not writing {path.name}: set {BENCH_WRITE_ENV}=1)")
 
 
 def effective_cpu_count() -> int:

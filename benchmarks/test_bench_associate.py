@@ -11,13 +11,12 @@ repository root recording the wall times and the peak-temporary
 reduction of the redesign.
 """
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from conftest import run_once
+from conftest import run_once, write_bench_json
 
 from repro.distance.build import KernelBuilder
 from repro.gwas.config import KRRConfig
@@ -126,7 +125,7 @@ def test_bench_associate(benchmark):
             "reduction_factor": round(dense_peak / tile_peak, 2),
         },
     }
-    _RESULT_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json(_RESULT_FILE, payload)
 
     print("\n=== Associate+Predict: dense path vs tile-native session ===")
     print(f"dense path : {dense_seconds:7.2f} s  "
@@ -134,7 +133,7 @@ def test_bench_associate(benchmark):
     print(f"tile-native: {tile_seconds:7.2f} s  "
           f"(peak temporaries {tile_peak / 1e6:8.1f} MB)")
     print(f"prediction agreement: rel err = {rel:.2e} "
-          f"(written to {_RESULT_FILE.name})")
+          f"(result file {_RESULT_FILE.name})")
 
     # the redesign removes the dense n x n temporaries entirely
     assert payload["peak_temporary_bytes"]["reduction_factor"] >= 2.0

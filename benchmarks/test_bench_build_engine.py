@@ -10,14 +10,13 @@ and writes ``BENCH_build.json`` at the repository root so future PRs
 have a perf trajectory to compare against.
 """
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import effective_cpu_count, run_once
+from conftest import effective_cpu_count, run_once, write_bench_json
 
 from repro.distance.build import KernelBuilder
 from repro.distance.euclidean import squared_norms
@@ -132,7 +131,7 @@ def _write_payload(seed_seconds: float, flops: float, tile_bytes: int,
         "max_dense_temp_elements": max_dense_temp_elements,
         "bitwise_identical": True,
     }
-    _RESULT_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json(_RESULT_FILE, payload)
 
 
 @pytest.mark.parametrize("workers", WORKER_COUNTS)
@@ -172,7 +171,7 @@ def test_bench_build_engine(benchmark, workers):
           f"({flops / seed_seconds / 1e9:8.2f} GF/s)")
     print(f"engine : {engine_seconds:8.2f} s  "
           f"({_ENGINE_RESULTS[str(workers)]['engine_gflops']:8.2f} GF/s)")
-    print(f"speedup: {speedup:.2f}x (written to {_RESULT_FILE.name})")
+    print(f"speedup: {speedup:.2f}x (result file {_RESULT_FILE.name})")
 
     # Deliberately oversubscribed runs (more workers than cores, on a
     # single-core host) pay GIL/cache contention with nothing to
@@ -232,7 +231,7 @@ def test_bench_build_engine_process(workers):
     print(f"\n=== Build engine: process backend (workers={workers}) ===")
     print(f"seed    : {seed_seconds:8.2f} s")
     print(f"process : {engine_seconds:8.2f} s  ({speedup:.2f}x, "
-          f"written to {_RESULT_FILE.name})")
+          f"result file {_RESULT_FILE.name})")
 
     # Process workers pay real IPC (descriptor pickling, payload
     # segments) that only overlapping cores can amortize; without them

@@ -14,13 +14,12 @@ task graph, not of the host running the harness).  Both numbers are
 recorded either way.
 """
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from conftest import effective_cpu_count
+from conftest import effective_cpu_count, write_bench_json
 from repro.linalg.cholesky import cholesky
 from repro.precision.formats import Precision
 from repro.runtime.runtime import Runtime
@@ -112,7 +111,7 @@ def test_bench_cholesky_dag_parallel():
         "dag_parallelism_work_over_depth": round(dag_parallelism, 2),
         "bitwise_identical": True,
     }
-    _RESULT_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json(_RESULT_FILE, payload)
 
     print("\n=== Tiled Cholesky: serial vs DAG-parallel (n=%d, tile=%d) ===" %
           (N, TILE))
@@ -124,7 +123,7 @@ def test_bench_cholesky_dag_parallel():
         print(f"process  x{w:<2d}    : {process_seconds[w]:8.3f} s  "
               f"({serial_seconds / process_seconds[w]:5.2f}x)")
     print(f"DAG parallelism : {dag_parallelism:5.2f}x work/critical-path "
-          f"(written to {_RESULT_FILE.name})")
+          f"(result file {_RESULT_FILE.name})")
 
     # the structural parallelism of the DAG must always be there
     assert dag_parallelism >= 1.5, (

@@ -14,11 +14,12 @@ the standard estimator of the noise-free cost on a shared box, where
 either route can be handed a 20% slowdown by scheduler jitter alone.
 """
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
+
+from conftest import write_bench_json
 
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.cv import grid_search_cv
@@ -111,7 +112,7 @@ def test_bench_factor_once_cv_sweep():
         "cg_phase_seconds": {k: round(v, 3)
                              for k, v in cg.phase_seconds.items()},
     }
-    _RESULT_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json(_RESULT_FILE, payload)
 
     print(f"\n=== Factor-once CV sweep (n={N}, {len(ALPHAS)} alphas, "
           f"{FOLDS} folds, 1 core, best of {REPS}) ===")
@@ -121,7 +122,7 @@ def test_bench_factor_once_cv_sweep():
           f"({cg.factorizations} factorizations, "
           f"{cg.cg_fallbacks} fallbacks)")
     print(f"speedup          : {speedup:7.2f}x "
-          f"(written to {_RESULT_FILE.name})")
+          f"(result file {_RESULT_FILE.name})")
     for name, result in (("direct", direct), ("cg", cg)):
         secs = result.phase_seconds
         print(f"  {name:>6} phases : " + "  ".join(

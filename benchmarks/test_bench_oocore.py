@@ -8,11 +8,12 @@ and writes ``BENCH_oocore.json`` at the repository root so future PRs
 can track the out-of-core overhead.
 """
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
+
+from conftest import write_bench_json
 
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.session import KRRSession
@@ -88,7 +89,7 @@ def test_bench_out_of_core_budgeted_fit():
         "bitwise_identical": True,
         "peak_under_budget": True,
     }
-    _RESULT_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json(_RESULT_FILE, payload)
 
     print(f"\n=== Out-of-core KRR fit+predict (n={N}, tile={TILE}) ===")
     print(f"dense FP64 kernel      : {dense_fp64 / (1 << 20):9.1f} MiB")
@@ -102,4 +103,4 @@ def test_bench_out_of_core_budgeted_fit():
           f"{stats.prefetches} prefetched)")
     print(f"wall clock             : {resident_s:.2f} s resident vs "
           f"{oo_s:.2f} s budgeted ({oo_s / resident_s:.2f}x)"
-          f"  (written to {_RESULT_FILE.name})")
+          f"  (result file {_RESULT_FILE.name})")

@@ -9,11 +9,12 @@ writes ``BENCH_resilience.json`` at the repository root so future PRs
 can track the fault-tolerance overhead.
 """
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
+
+from conftest import write_bench_json
 
 from repro.gwas.config import KRRConfig, PrecisionPlan
 from repro.gwas.session import KRRSession
@@ -96,7 +97,7 @@ def test_bench_chaos_overhead():
         "chaos_overhead_x": round(chaos_s / clean_s, 3),
         "bitwise_identical": True,
     }
-    _RESULT_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json(_RESULT_FILE, payload)
 
     print(f"\n=== Chaos-injected KRR fit+predict (n={N}, tile={TILE}) ===")
     print(f"injected faults        : {task_faults} task, {io_faults} I/O")
@@ -104,4 +105,4 @@ def test_bench_chaos_overhead():
     print(f"store I/O retries      : {stats.io_retries}")
     print(f"wall clock             : {clean_s:.2f} s fault-free vs "
           f"{chaos_s:.2f} s chaos ({chaos_s / clean_s:.2f}x)"
-          f"  (written to {_RESULT_FILE.name})")
+          f"  (result file {_RESULT_FILE.name})")

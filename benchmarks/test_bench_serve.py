@@ -17,7 +17,6 @@ Asserts the micro-batched results stay bitwise equal to solo
 ``BENCH_serve.json`` at the repository root with both rates.
 """
 
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import run_once
+from conftest import run_once, write_bench_json
 
 from repro.gwas.config import KRRConfig, PrecisionPlan, ServeConfig
 from repro.gwas.session import KRRSession
@@ -125,7 +124,7 @@ def test_bench_serve(benchmark):
         "bitwise_equal_to_solo_predict": True,
         "model_resident_bytes": model.resident_bytes(),
     }
-    _RESULT_FILE.write_text(json.dumps(payload, indent=2) + "\n")
+    write_bench_json(_RESULT_FILE, payload)
 
     print("\nPrediction-serving throughput (8 concurrent clients, "
           f"{CLIENTS * REQUESTS_PER_CLIENT} requests x {ROWS_PER_REQUEST} "

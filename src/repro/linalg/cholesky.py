@@ -29,6 +29,7 @@ one scheduler across phases and feeds its trace accounting; passing
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,7 @@ from repro.resilience.errors import TaskGroupError
 from repro.runtime.runtime import Runtime
 from repro.runtime.task import AccessMode
 from repro.tiles.matrix import TileMatrix
+from repro.tiles.tile import Tile
 
 
 @dataclass
@@ -221,56 +223,115 @@ def cholesky(
 # ----------------------------------------------------------------------
 def _cholesky_direct(tiled: TileMatrix, wp: Precision,
                      tile_precision, result: CholeskyResult) -> None:
-    from repro.linalg.kernels import panel_operand
-
     nt = tiled.layout.tile_rows
     for k in range(nt):
-        akk = tiled.get_tile(k, k).to_float64()
-        lkk = tile_potrf(akk, precision=wp)
-        tiled.set_tile(k, k, lkk, precision=wp)
-        _accumulate(result, "potrf", wp, potrf_flops(akk.shape[0]))
+        lkk = tile_potrf(tiled.get_tile(k, k), precision=wp)
+        tiled.set_tile(k, k, lkk)
+        _accumulate(result, "potrf", wp, potrf_flops(lkk.shape[0]))
 
-        # stored panel tiles, read back once per panel instead of once
-        # per trailing update they participate in
-        panel64: dict[int, np.ndarray] = {}
+        # the stored panel tiles, kept for the trailing updates
+        panel: dict[int, Tile] = {}
         for i in range(k + 1, nt):
-            aik = tiled.get_tile(i, k).to_float64()
-            lik = tile_trsm(lkk, aik, precision=wp, side="right", trans=True)
-            tiled.set_tile(i, k, lik, precision=tile_precision(i, k))
-            panel64[i] = tiled.get_tile(i, k).to_float64()
-            _accumulate(result, "trsm", wp, trsm_flops(aik.shape[1], aik.shape[0]))
+            lik = tile_trsm(lkk, tiled.get_tile(i, k), precision=wp,
+                            side="right", trans=True,
+                            storage=tile_precision(i, k))
+            tiled.set_tile(i, k, lik)
+            panel[i] = lik
+            _accumulate(result, "trsm", wp, trsm_flops(lik.shape[1], lik.shape[0]))
 
         # per-(tile, precision) quantization cache for the trailing update:
         # L[i,k] is consumed by one SYRK and up to nt-k-2 GEMMs, all of
         # which would otherwise re-quantize it from scratch
-        qpanel: dict[tuple[int, Precision], object] = {}
+        qpanel: dict[tuple[int, Precision], QuantizedOperand] = {}
 
-        def qtile(idx: int, precision: Precision):
+        def qtile(idx: int, precision: Precision) -> QuantizedOperand:
             key = (idx, precision)
             if key not in qpanel:
-                qpanel[key] = panel_operand(panel64[idx], precision)
+                qpanel[key] = panel_operand(panel[idx], precision)
             return qpanel[key]
 
         for i in range(k + 1, nt):
-            lik = panel64[i]
+            kb = panel[i].shape[1]
             # SYRK on the diagonal of the trailing matrix
-            aii = tiled.get_tile(i, i).to_float64()
-            p_ii = wp
-            new_aii = tile_syrk(qtile(i, p_ii), aii, precision=p_ii,
-                                alpha=-1.0, beta=1.0)
-            tiled.set_tile(i, i, new_aii, precision=p_ii)
-            _accumulate(result, "syrk", p_ii, syrk_flops(aii.shape[0], lik.shape[1]))
+            aii = tiled.get_tile(i, i)
+            tiled.set_tile(i, i, tile_syrk(qtile(i, wp), aii, precision=wp,
+                                           alpha=-1.0, beta=1.0))
+            _accumulate(result, "syrk", wp, syrk_flops(aii.shape[0], kb))
 
             # GEMM on the off-diagonal trailing tiles of this block column
             for j in range(k + 1, i):
-                aij = tiled.get_tile(i, j).to_float64()
+                aij = tiled.get_tile(i, j)
                 p_ij = tile_precision(i, j)
-                new_aij = tile_gemm(qtile(i, p_ij), qtile(j, p_ij), aij,
-                                    precision=p_ij,
-                                    alpha=-1.0, beta=1.0, transb=True)
-                tiled.set_tile(i, j, new_aij, precision=p_ij)
+                tiled.set_tile(i, j, tile_gemm(qtile(i, p_ij), qtile(j, p_ij),
+                                               aij, precision=p_ij,
+                                               alpha=-1.0, beta=1.0,
+                                               transb=True))
                 _accumulate(result, "gemm", p_ij,
-                            gemm_flops(aij.shape[0], aij.shape[1], lik.shape[1]))
+                            gemm_flops(aij.shape[0], aij.shape[1], kb))
+
+
+class _PanelOperands:
+    """Quantized panel operands shared by the trailing-update tasks.
+
+    A panel tile ``L[i,k]`` is consumed by one SYRK and up to nt-k-2
+    GEMMs per compute precision; caching its :func:`panel_operand` per
+    (handle uid, precision) mirrors the serial path's per-panel cache.
+    A panel never changes after its TRSM wrote it (and store reloads
+    are bitwise), so the cache is sound under concurrency.  Each entry
+    is refcounted by its consumer tasks and evicted when the last one
+    has used it, so the cache holds (roughly) the panels currently in
+    flight rather than every panel of the factorization.
+    """
+
+    def __init__(self) -> None:
+        self._cache: dict[tuple[int, Precision], QuantizedOperand] = {}
+        self._count: dict[tuple[int, Precision], int] = {}
+        self._lock = threading.Lock()
+
+    def expect(self, uid: int, precision: Precision) -> None:
+        """Register one future consumer (at insertion time)."""
+        key = (uid, precision)
+        self._count[key] = self._count.get(key, 0) + 1
+
+    def get(self, uid: int, tile: Tile, precision: Precision) -> QuantizedOperand:
+        key = (uid, precision)
+        got = self._cache.get(key)
+        if got is None:
+            # benign race: a duplicate compute yields the same
+            # deterministic operand and one copy wins
+            got = self._cache.setdefault(key, panel_operand(tile, precision))
+        return got
+
+    def done(self, *keys: tuple[int, Precision]) -> None:
+        """One consumer of each ``(uid, precision)`` key has finished."""
+        with self._lock:
+            for key in keys:
+                left = self._count.get(key, 0) - 1
+                if left <= 0:
+                    self._count.pop(key, None)
+                    self._cache.pop(key, None)
+                else:
+                    self._count[key] = left
+
+
+def _run_dag(runtime: Runtime, ns: str, phase: str, result: CholeskyResult) -> None:
+    """Drain the factorization DAG; map numerical failures to LinAlgError."""
+    try:
+        result.schedule = runtime.run(phase=phase)
+    except TaskGroupError as exc:
+        # a failed factorization DAG is disposable: the session's
+        # alpha-boost retry inserts a fresh one, so don't park the
+        # unfinished subgraph on the session runtime
+        runtime.reset_graph()
+        if exc.matches(np.linalg.LinAlgError):
+            # purely numerical failure (indefinite pivot) keeps its
+            # historical type so regularization retries can catch it
+            raise np.linalg.LinAlgError(str(exc.failures[0].error)) from exc
+        raise
+    finally:
+        # failed attempts (indefinite matrix at too-small alpha) must
+        # not leak this invocation's handles into the session registry
+        runtime.release(ns)
 
 
 # ----------------------------------------------------------------------
@@ -279,8 +340,6 @@ def _cholesky_direct(tiled: TileMatrix, wp: Precision,
 def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
                       tile_precision, result: CholeskyResult,
                       runtime: Runtime, phase: str = "cholesky") -> None:
-    from repro.tiles.tile import Tile
-
     if tiled.store is not None:
         _cholesky_runtime_store(tiled, nt, wp, tile_precision, result,
                                 runtime, phase)
@@ -292,8 +351,7 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
 
     # Handle payloads are Tile objects, so the working set stays in the
     # tiles' *storage* precision (fp16/fp8 mosaics keep their footprint
-    # advantage); task bodies convert to float64 on read, exactly like
-    # the serial path's per-access ``get_tile().to_float64()``.
+    # advantage); the kernels read them in place.
     handles: dict[tuple[int, int], object] = {}
     for i in range(nt):
         for j in range(i + 1):
@@ -302,74 +360,32 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
                 f"{ns}A({i},{j})", payload=tile,
                 precision=tile.precision, shape=tile.shape,
             )
-
-    # Panel tiles are consumed by one SYRK and up to nt-k-2 GEMMs per
-    # compute precision; caching the quantized operand per (handle,
-    # precision) mirrors the serial path's per-panel cache.  A panel
-    # payload never changes after its TRSM wrote it, so the cache is
-    # sound under concurrency.  Each entry is refcounted by its
-    # consumer tasks and evicted when the last one has used it, so the
-    # cache holds (roughly) the panels currently in flight rather than
-    # every panel of the factorization.
-    import threading
-
-    qcache: dict[tuple[int, Precision], QuantizedOperand] = {}
-    qcount: dict[tuple[int, Precision], int] = {}
-    qlock = threading.Lock()
-
-    def qexpect(uid: int, precision: Precision) -> None:
-        key = (uid, precision)
-        qcount[key] = qcount.get(key, 0) + 1
-
-    def qop(uid: int, tile: Tile, precision: Precision) -> QuantizedOperand:
-        key = (uid, precision)
-        got = qcache.get(key)
-        if got is None:
-            # benign race: a duplicate compute yields the same
-            # deterministic operand and one copy wins
-            got = qcache.setdefault(
-                key, panel_operand(tile.to_float64(), precision))
-        return got
-
-    def qdone(*keys: tuple[int, Precision]) -> None:
-        with qlock:
-            for key in keys:
-                left = qcount.get(key, 0) - 1
-                if left <= 0:
-                    qcount.pop(key, None)
-                    qcache.pop(key, None)
-                else:
-                    qcount[key] = left
+    operands = _PanelOperands()
 
     def potrf_body(a):
-        return Tile(tile_potrf(a.to_float64(), precision=wp), precision=wp,
-                    coords=a.coords)
+        return tile_potrf(a, precision=wp)
 
     def make_trsm_body(storage: Precision):
         def body(lkk, aik):
-            lik = tile_trsm(lkk.to_float64(), aik.to_float64(), precision=wp,
-                            side="right", trans=True)
-            # storing at the tile's storage precision is the same
-            # rounding the serial path applies before the trailing
-            # updates read the panel back
-            return Tile(lik, precision=storage, coords=aik.coords)
+            return tile_trsm(lkk, aik, precision=wp, side="right",
+                             trans=True, storage=storage)
         return body
 
     def make_syrk_body(p, uid_ik):
         def body(lik, aii):
-            out = tile_syrk(qop(uid_ik, lik, p), aii.to_float64(),
-                            precision=p, alpha=-1.0, beta=1.0)
-            qdone((uid_ik, p))
-            return Tile(out, precision=p, coords=aii.coords)
+            out = tile_syrk(operands.get(uid_ik, lik, p), aii, precision=p,
+                            alpha=-1.0, beta=1.0)
+            operands.done((uid_ik, p))
+            return out
         return body
 
     def make_gemm_body(p, uid_ik, uid_jk):
         def body(lik, ljk, aij):
-            out = tile_gemm(qop(uid_ik, lik, p), qop(uid_jk, ljk, p),
-                            aij.to_float64(), precision=p,
+            out = tile_gemm(operands.get(uid_ik, lik, p),
+                            operands.get(uid_jk, ljk, p), aij, precision=p,
                             alpha=-1.0, beta=1.0, transb=True)
-            qdone((uid_ik, p), (uid_jk, p))
-            return Tile(out, precision=p, coords=aij.coords)
+            operands.done((uid_ik, p), (uid_jk, p))
+            return out
         return body
 
     for k in range(nt):
@@ -400,7 +416,7 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
             hii = handles[(i, i)]
             nbi = layout.tile_shape(i, i)[0]
             kbk = layout.tile_shape(i, k)[1]
-            qexpect(hik.uid, wp)
+            operands.expect(hik.uid, wp)
             runtime.insert_task(
                 "syrk", (hik, AccessMode.READ), (hii, AccessMode.READWRITE),
                 body=make_syrk_body(wp, hik.uid), flops=syrk_flops(nbi, kbk),
@@ -413,8 +429,8 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
                 hij = handles[(i, j)]
                 p_ij = tile_precision(i, j)
                 mb, nb = layout.tile_shape(i, j)
-                qexpect(hik.uid, p_ij)
-                qexpect(hjk.uid, p_ij)
+                operands.expect(hik.uid, p_ij)
+                operands.expect(hjk.uid, p_ij)
                 runtime.insert_task(
                     "gemm", (hik, AccessMode.READ), (hjk, AccessMode.READ),
                     (hij, AccessMode.READWRITE),
@@ -426,29 +442,10 @@ def _cholesky_runtime(tiled: TileMatrix, nt: int, wp: Precision,
                 )
                 _accumulate(result, "gemm", p_ij, gemm_flops(mb, nb, kbk))
 
-    try:
-        schedule = runtime.run(phase=phase)
-    except TaskGroupError as exc:
-        # a failed factorization DAG is disposable: the session's
-        # alpha-boost retry inserts a fresh one, so don't park the
-        # unfinished subgraph on the session runtime
-        runtime.reset_graph()
-        if exc.matches(np.linalg.LinAlgError):
-            # purely numerical failure (indefinite pivot) keeps its
-            # historical type so regularization retries can catch it
-            raise np.linalg.LinAlgError(str(exc.failures[0].error)) from exc
-        raise
-    finally:
-        # failed attempts (indefinite matrix at too-small alpha) must
-        # not leak this invocation's handles into the session registry
-        runtime.release(ns)
-    result.schedule = schedule
-
-    # copy results back into the tile matrix (payloads are Tiles whose
-    # values already sit on the target precision's grid)
+    _run_dag(runtime, ns, phase, result)
+    # the factor tiles are the handles' final payloads
     for (i, j), handle in handles.items():
-        tiled.set_tile(i, j, handle.payload.to_float64(),
-                       precision=tile_precision(i, j) if i != j else wp)
+        tiled.set_tile(i, j, handle.payload)
 
 
 # ----------------------------------------------------------------------
@@ -470,12 +467,9 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
 
     Bitwise equivalence with the serial elimination holds for the same
     reason as the resident DAG path: every read is ordered by an
-    explicit dependency edge, ``set_tile``'s storage-precision rounding
-    is exactly the serial path's, and spill/reload round-trips are
-    exact.
+    explicit dependency edge, the kernels are the same, and spill/reload
+    round-trips are exact.
     """
-    import threading
-
     layout = tiled.layout
     binding = tiled._binding
     runtime.require_drained("cholesky()")
@@ -501,77 +495,45 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
     def dep(i: int, j: int):
         return (binding, (i, j))
 
-    # Quantized-operand cache, refcounted per (handle uid, precision)
-    # exactly like the resident path: a panel tile's payload is fixed
-    # once its TRSM ran, and reloads are bitwise, so a cached operand is
-    # valid no matter how often the tile spills in between.
-    qcache: dict[tuple[int, Precision], QuantizedOperand] = {}
-    qcount: dict[tuple[int, Precision], int] = {}
-    qlock = threading.Lock()
-
-    def qexpect(uid: int, precision: Precision) -> None:
-        key = (uid, precision)
-        qcount[key] = qcount.get(key, 0) + 1
-
-    def qop(uid: int, tile, precision: Precision) -> QuantizedOperand:
-        key = (uid, precision)
-        got = qcache.get(key)
-        if got is None:
-            got = qcache.setdefault(
-                key, panel_operand(tile.to_float64(), precision))
-        return got
-
-    def qdone(*keys: tuple[int, Precision]) -> None:
-        with qlock:
-            for key in keys:
-                left = qcount.get(key, 0) - 1
-                if left <= 0:
-                    qcount.pop(key, None)
-                    qcache.pop(key, None)
-                else:
-                    qcount[key] = left
+    operands = _PanelOperands()
+    get = tiled.get_tile
 
     def make_potrf_body(k: int):
         def body(_a):
-            lkk = tile_potrf(tiled.get_tile(k, k).to_float64(), precision=wp)
-            tiled.set_tile(k, k, lkk, precision=wp)
+            tiled.set_tile(k, k, tile_potrf(get(k, k), precision=wp))
         return body
 
     def make_trsm_body(i: int, k: int, storage: Precision):
         def body(_lkk, _aik):
-            lik = tile_trsm(tiled.get_tile(k, k).to_float64(),
-                            tiled.get_tile(i, k).to_float64(),
-                            precision=wp, side="right", trans=True)
-            tiled.set_tile(i, k, lik, precision=storage)
+            tiled.set_tile(i, k, tile_trsm(get(k, k), get(i, k), precision=wp,
+                                           side="right", trans=True,
+                                           storage=storage))
         return body
 
     def make_syrk_body(i: int, k: int, p: Precision, uid_ik: int):
         def body(_lik, _aii):
-            out = tile_syrk(qop(uid_ik, tiled.get_tile(i, k), p),
-                            tiled.get_tile(i, i).to_float64(),
+            out = tile_syrk(operands.get(uid_ik, get(i, k), p), get(i, i),
                             precision=p, alpha=-1.0, beta=1.0)
-            qdone((uid_ik, p))
-            tiled.set_tile(i, i, out, precision=p)
+            operands.done((uid_ik, p))
+            tiled.set_tile(i, i, out)
         return body
 
     def make_gemm_body(i: int, j: int, k: int, p: Precision,
                        uid_ik: int, uid_jk: int):
         def body(_lik, _ljk, _aij):
-            out = tile_gemm(qop(uid_ik, tiled.get_tile(i, k), p),
-                            qop(uid_jk, tiled.get_tile(j, k), p),
-                            tiled.get_tile(i, j).to_float64(), precision=p,
+            out = tile_gemm(operands.get(uid_ik, get(i, k), p),
+                            operands.get(uid_jk, get(j, k), p),
+                            get(i, j), precision=p,
                             alpha=-1.0, beta=1.0, transb=True)
-            qdone((uid_ik, p), (uid_jk, p))
-            tiled.set_tile(i, j, out, precision=p)
+            operands.done((uid_ik, p), (uid_jk, p))
+            tiled.set_tile(i, j, out)
         return body
 
-    def make_writeback(i: int, j: int, storage: Precision):
+    def make_writeback(i: int, j: int):
         # Coordinator-side completion of a worker-executed store task:
-        # write the result tile straight back through the store (the
-        # same set_tile rounding the serial body applies; set_tile on
-        # an already-on-grid tile is exact, so this stays bitwise).
+        # the worker's result tile goes straight back through the store.
         def on_complete(out):
-            tiled.set_tile(i, j, out.to_float64(), precision=storage)
+            tiled.set_tile(i, j, out)
         return on_complete
 
     for k in range(nt):
@@ -584,7 +546,7 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
             pspec=ProcessTaskSpec(
                 PotrfSpec(wp), mode="aux",
                 aux=(TileInput(tiled, (k, k), writeback=True),),
-                on_complete=make_writeback(k, k, wp)),
+                on_complete=make_writeback(k, k)),
         )
         _accumulate(result, "potrf", wp, potrf_flops(nbk))
 
@@ -601,7 +563,7 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
                     TrsmSpec(wp, tile_precision(i, k)), mode="aux",
                     aux=(TileInput(tiled, (k, k)),
                          TileInput(tiled, (i, k), writeback=True)),
-                    on_complete=make_writeback(i, k, tile_precision(i, k))),
+                    on_complete=make_writeback(i, k)),
             )
             _accumulate(result, "trsm", wp, trsm_flops(nb, mb))
 
@@ -610,7 +572,7 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
             hii = handles[(i, i)]
             nbi = layout.tile_shape(i, i)[0]
             kbk = layout.tile_shape(i, k)[1]
-            qexpect(hik.uid, wp)
+            operands.expect(hik.uid, wp)
             runtime.insert_task(
                 "syrk", (hik, AccessMode.READ), (hii, AccessMode.READWRITE),
                 body=make_syrk_body(i, k, wp, hik.uid),
@@ -621,7 +583,7 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
                     SyrkSpec(wp, hik.uid), mode="aux",
                     aux=(TileInput(tiled, (i, k)),
                          TileInput(tiled, (i, i), writeback=True)),
-                    on_complete=make_writeback(i, i, wp)),
+                    on_complete=make_writeback(i, i)),
             )
             _accumulate(result, "syrk", wp, syrk_flops(nbi, kbk))
             for j in range(k + 1, i):
@@ -629,8 +591,8 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
                 hij = handles[(i, j)]
                 p_ij = tile_precision(i, j)
                 mb, nb = layout.tile_shape(i, j)
-                qexpect(hik.uid, p_ij)
-                qexpect(hjk.uid, p_ij)
+                operands.expect(hik.uid, p_ij)
+                operands.expect(hjk.uid, p_ij)
                 runtime.insert_task(
                     "gemm", (hik, AccessMode.READ), (hjk, AccessMode.READ),
                     (hij, AccessMode.READWRITE),
@@ -643,17 +605,8 @@ def _cholesky_runtime_store(tiled: TileMatrix, nt: int, wp: Precision,
                         aux=(TileInput(tiled, (i, k)),
                              TileInput(tiled, (j, k)),
                              TileInput(tiled, (i, j), writeback=True)),
-                        on_complete=make_writeback(i, j, p_ij)),
+                        on_complete=make_writeback(i, j)),
                 )
                 _accumulate(result, "gemm", p_ij, gemm_flops(mb, nb, kbk))
 
-    try:
-        schedule = runtime.run(phase=phase)
-    except TaskGroupError as exc:
-        runtime.reset_graph()
-        if exc.matches(np.linalg.LinAlgError):
-            raise np.linalg.LinAlgError(str(exc.failures[0].error)) from exc
-        raise
-    finally:
-        runtime.release(ns)
-    result.schedule = schedule
+    _run_dag(runtime, ns, phase, result)

@@ -5,9 +5,9 @@ run on a worker carries a :class:`ProcessTaskSpec` next to its closure
 body: a small frozen dataclass (the *descriptor*) naming the kernel and
 its scalar parameters, plus a description of where the task's inputs
 come from.  The closure body stays authoritative for the serial /
-threaded / simulated drains; the descriptor re-expresses the same
-arithmetic for workers, operation for operation, so both produce
-bitwise identical results.
+threaded / simulated drains; the descriptor runs the same tile kernels
+(the Cholesky specs) or re-expresses the same arithmetic for workers,
+operation for operation, so both produce bitwise identical results.
 
 Input modes (``ProcessTaskSpec.mode``):
 
@@ -127,7 +127,7 @@ def cached_operand(key: int, precision: Precision, tile: Tile):
     cache_key = (key, precision)
     got = _OPERAND_CACHE.get(cache_key)
     if got is None:
-        got = panel_operand(tile.to_float64(), precision)
+        got = panel_operand(tile, precision)
         _OPERAND_CACHE[cache_key] = got
         if len(_OPERAND_CACHE) > _OPERAND_CACHE_MAX:
             _OPERAND_CACHE.popitem(last=False)
@@ -159,8 +159,7 @@ class PotrfSpec(BodySpec):
     def run(self, a: Tile) -> Tile:
         from repro.linalg.kernels import tile_potrf
 
-        return Tile(tile_potrf(a.to_float64(), precision=self.wp),
-                    precision=self.wp, coords=a.coords)
+        return tile_potrf(a, precision=self.wp)
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,8 @@ class TrsmSpec(BodySpec):
     def run(self, lkk: Tile, aik: Tile) -> Tile:
         from repro.linalg.kernels import tile_trsm
 
-        lik = tile_trsm(lkk.to_float64(), aik.to_float64(),
-                        precision=self.wp, side="right", trans=True)
-        return Tile(lik, precision=self.storage, coords=aik.coords)
+        return tile_trsm(lkk, aik, precision=self.wp, side="right",
+                         trans=True, storage=self.storage)
 
 
 @dataclass(frozen=True)
@@ -188,10 +186,8 @@ class SyrkSpec(BodySpec):
     def run(self, lik: Tile, aii: Tile) -> Tile:
         from repro.linalg.kernels import tile_syrk
 
-        out = tile_syrk(cached_operand(self.key_ik, self.p, lik),
-                        aii.to_float64(), precision=self.p,
-                        alpha=-1.0, beta=1.0)
-        return Tile(out, precision=self.p, coords=aii.coords)
+        return tile_syrk(cached_operand(self.key_ik, self.p, lik), aii,
+                         precision=self.p, alpha=-1.0, beta=1.0)
 
 
 @dataclass(frozen=True)
@@ -205,11 +201,9 @@ class GemmTrailSpec(BodySpec):
     def run(self, lik: Tile, ljk: Tile, aij: Tile) -> Tile:
         from repro.linalg.kernels import tile_gemm
 
-        out = tile_gemm(cached_operand(self.key_ik, self.p, lik),
-                        cached_operand(self.key_jk, self.p, ljk),
-                        aij.to_float64(), precision=self.p,
-                        alpha=-1.0, beta=1.0, transb=True)
-        return Tile(out, precision=self.p, coords=aij.coords)
+        return tile_gemm(cached_operand(self.key_ik, self.p, lik),
+                         cached_operand(self.key_jk, self.p, ljk), aij,
+                         precision=self.p, alpha=-1.0, beta=1.0, transb=True)
 
 
 @dataclass(frozen=True)

@@ -19,14 +19,15 @@ pipe and treats as a transient :class:`WorkerCrashError`.
 
 BLAS thread capping: the pool exports ``*_NUM_THREADS=<cap>`` before
 spawning (effective for ``spawn`` children, whose BLAS loads fresh),
-and the bootstrap additionally applies ``threadpoolctl`` when it is
-installed — the only way to re-limit an already-loaded BLAS under
-``fork``.  threadpoolctl is optional; without it a forked worker
-inherits the parent's BLAS thread count.
+and the bootstrap re-limits the BLAS a ``fork`` child inherited already
+loaded: through ``threadpoolctl`` when it is installed, otherwise by
+calling the thread-count setter of every OpenBLAS build mapped into the
+process (numpy's and scipy's wheels each bundle their own).
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import traceback
@@ -88,18 +89,59 @@ def load_exception(blob: tuple) -> BaseException:
 # ----------------------------------------------------------------------
 # bootstrap
 # ----------------------------------------------------------------------
+#: ``(setter, getter)`` thread-count entry points of OpenBLAS builds:
+#: numpy's ILP64 scipy-openblas, scipy's LP64 one, and plain OpenBLAS.
+_OPENBLAS_ENTRY_POINTS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _loaded_openblas() -> list[tuple[str, object, object]]:
+    """``(library path, setter, getter)`` of every OpenBLAS build
+    already mapped into this process (read from ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({
+                fields[-1] for fields in (line.split() for line in maps)
+                if len(fields) >= 6
+                and "openblas" in os.path.basename(fields[-1]).lower()})
+    except OSError:  # no procfs: nothing to re-limit this way
+        return []
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)  # already loaded: same handle
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_ENTRY_POINTS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                setter = getattr(lib, set_name)
+                setter.argtypes = (ctypes.c_int,)
+                setter.restype = None
+                getter = getattr(lib, get_name)
+                getter.argtypes = ()
+                getter.restype = ctypes.c_int
+                found.append((path, setter, getter))
+                break
+    return found
+
+
 def _limit_blas_threads(limit: int) -> None:
     for var in _BLAS_ENV_VARS:
         os.environ[var] = str(limit)
+    # under `spawn` the env vars above already cap BLAS (it loads after
+    # them); under `fork` the loaded libraries must be told directly
     try:
         from threadpoolctl import threadpool_limits
 
         threadpool_limits(limits=int(limit))
-    except Exception:
-        # threadpoolctl is optional; under `spawn` the env vars above
-        # already cap BLAS (it loads after them), under `fork` a loaded
-        # BLAS keeps the parent's setting.
+        return
+    except Exception:  # optional dependency: fall back to OpenBLAS itself
         pass
+    for _, setter, _ in _loaded_openblas():
+        setter(int(limit))
 
 
 def _bootstrap(blas_threads: int) -> None:

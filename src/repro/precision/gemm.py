@@ -166,18 +166,21 @@ def variant_for_input(precision: Precision | str) -> GemmVariant:
     lower float precisions through a tensor-core variant with FP32
     accumulation.
     """
-    precision = Precision.from_string(precision)
-    mapping = {
-        Precision.INT8: "AB8I_C32I_OP32I",
-        Precision.INT32: "AB8I_C32I_OP32I",
-        Precision.FP64: "FP64",
-        Precision.FP32: "FP32",
-        Precision.FP16: "FP16_FP32ACC",
-        Precision.BF16: "BF16_FP32ACC",
-        Precision.FP8_E4M3: "FP8_E4M3_FP32ACC",
-        Precision.FP8_E5M2: "FP8_E5M2_FP32ACC",
-    }
-    return gemm_variant(mapping[precision])
+    return _INPUT_VARIANTS[Precision.from_string(precision)]
+
+
+_INPUT_VARIANTS = {
+    precision: _VARIANTS[name] for precision, name in (
+        (Precision.INT8, "AB8I_C32I_OP32I"),
+        (Precision.INT32, "AB8I_C32I_OP32I"),
+        (Precision.FP64, "FP64"),
+        (Precision.FP32, "FP32"),
+        (Precision.FP16, "FP16_FP32ACC"),
+        (Precision.BF16, "BF16_FP32ACC"),
+        (Precision.FP8_E4M3, "FP8_E4M3_FP32ACC"),
+        (Precision.FP8_E5M2, "FP8_E5M2_FP32ACC"),
+    )
+}
 
 
 class QuantizedOperand:
@@ -205,6 +208,19 @@ class QuantizedOperand:
         self._max_abs: float | None = None
 
     # ------------------------------------------------------------------
+    @classmethod
+    def on_grid(cls, array: np.ndarray,
+                precision: Precision) -> "QuantizedOperand":
+        """Wrap values that already are ``quantize(..., precision)``
+        output (e.g. a tile stored in ``precision``) without rounding
+        them again."""
+        op = cls.__new__(cls)
+        op.precision = precision
+        op.array = array
+        op._floats = {}
+        op._max_abs = None
+        return op
+
     @classmethod
     def wrap(cls, x: "np.ndarray | QuantizedOperand",
              precision: Precision | str) -> "QuantizedOperand":
@@ -383,13 +399,17 @@ def gemm_mixed(
         result = alpha * np.asarray(prod, dtype=np.float64)
     else:
         dtype = _float_accumulator_dtype(acc)
-        fa = np.asarray(qa.array, dtype=dtype)
-        fb = np.asarray(qb.array, dtype=dtype)
+        fa = qa.as_float(dtype)
+        fb = qb.as_float(dtype)
         if transa:
             fa = fa.T
         if transb:
             fb = fb.T
         prod = fa @ fb  # sgemm/dgemm at the accumulation precision
+        if alpha == 1.0 and beta == 0.0 and variant.output_precision is acc:
+            # the accumulator already is the output format: rounding it
+            # to that format again would be the identity
+            return prod
         # round the accumulated product once, as the hardware does on store
         result = alpha * prod.astype(np.float64)
 
@@ -460,7 +480,7 @@ def syrk_mixed(
         full = _mirror_triangle(tri)
     else:
         dtype = _float_accumulator_dtype(acc)
-        op = np.asarray(q.array, dtype=dtype)
+        op = q.as_float(dtype)
         if trans:
             op = op.T
         if op.size:

@@ -8,57 +8,78 @@ dataflow runtime:
 * write-after-read  → anti dependency,
 * write-after-write → output dependency.
 
-The underlying graph is a :class:`networkx.DiGraph`, which gives us
-topological sorting, critical-path computation and cycle detection for
-free.
+Edges live in plain dict successor/predecessor maps.  A new task only
+ever gains edges *from* tasks inserted before it, so insertion order is
+a topological order and the graph is acyclic by construction — the
+queries below (topological order, critical path) are single passes over
+the task list.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-import networkx as nx
-
 from repro.runtime.task import AccessMode, DataHandle, Task
+
+#: Hazard bits of an edge; an edge may carry several (e.g. RAW and WAW
+#: from a READWRITE access after a write).
+RAW, WAR, WAW = 1, 2, 4
+_KIND_NAMES = (("RAW", RAW), ("WAR", WAR), ("WAW", WAW))
 
 
 class TaskGraph:
     """Directed acyclic graph of :class:`~repro.runtime.task.Task`."""
 
     def __init__(self) -> None:
-        self.graph = nx.DiGraph()
         self._tasks: list[Task] = []
+        # task -> {successor: hazard bits}; task -> {predecessor: None}
+        # (dicts keep first-edge order, which the drains' ready-hook
+        # callbacks follow)
+        self._succ: dict[Task, dict[Task, int]] = {}
+        self._pred: dict[Task, dict[Task, None]] = {}
+        self._num_edges = 0
         # per-handle access history used to derive dependencies
         self._last_writer: dict[DataHandle, Task] = {}
-        self._readers_since_write: dict[DataHandle, list[Task]] = defaultdict(list)
+        self._readers_since_write: dict[DataHandle, list[Task]] = {}
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
+    def _edge(self, src: Task, dst: Task, kind: int) -> None:
+        succ = self._succ[src]
+        bits = succ.get(dst)
+        if bits is None:
+            succ[dst] = kind
+            self._pred[dst][src] = None
+            self._num_edges += 1
+        else:
+            succ[dst] = bits | kind
+
     def add_task(self, task: Task) -> Task:
         """Insert a task, deriving dependency edges from its accesses."""
-        self.graph.add_node(task)
+        if task in self._succ:
+            raise ValueError(f"{task!r} is already in this graph")
+        self._succ[task] = {}
+        self._pred[task] = {}
         self._tasks.append(task)
+        last_writer = self._last_writer
         for handle, mode in task.accesses:
-            if mode.reads:
-                writer = self._last_writer.get(handle)
-                if writer is not None and writer is not task:
-                    self.graph.add_edge(writer, task, handle=handle, kind="RAW")
-            if mode.writes:
+            writer = last_writer.get(handle)
+            if mode is not AccessMode.WRITE and writer is not None:
+                self._edge(writer, task, RAW)
+            if mode is not AccessMode.READ:
                 # order after previous readers (WAR) and the previous writer (WAW)
-                for reader in self._readers_since_write.get(handle, []):
-                    if reader is not task:
-                        self.graph.add_edge(reader, task, handle=handle, kind="WAR")
-                writer = self._last_writer.get(handle)
-                if writer is not None and writer is not task:
-                    self.graph.add_edge(writer, task, handle=handle, kind="WAW")
-        # update history after edges are derived
+                for reader in self._readers_since_write.get(handle, ()):
+                    self._edge(reader, task, WAR)
+                if writer is not None:
+                    self._edge(writer, task, WAW)
+        # update history after edges are derived, writes before reads,
+        # so a handle listed twice acts like one READWRITE access
         for handle, mode in task.accesses:
-            if mode.writes:
-                self._last_writer[handle] = task
+            if mode is not AccessMode.READ:
+                last_writer[handle] = task
                 self._readers_since_write[handle] = []
-            if mode.reads:
-                self._readers_since_write[handle].append(task)
+        for handle, mode in task.accesses:
+            if mode is not AccessMode.WRITE:
+                self._readers_since_write.setdefault(handle, []).append(task)
         return task
 
     def insert_task(self, name: str, *accesses, body=None, flops: float = 0.0,
@@ -97,26 +118,40 @@ class TaskGraph:
 
     @property
     def num_edges(self) -> int:
-        return self.graph.number_of_edges()
+        return self._num_edges
 
     def predecessors(self, task: Task) -> list[Task]:
-        return list(self.graph.predecessors(task))
+        return list(self._pred[task])
 
     def successors(self, task: Task) -> list[Task]:
-        return list(self.graph.successors(task))
+        return list(self._succ[task])
+
+    def in_degree(self, task: Task) -> int:
+        return len(self._pred[task])
+
+    def edge_kind(self, src: Task, dst: Task) -> str:
+        """Hazard(s) behind the edge ``src -> dst``: ``"RAW"``, ``"WAR"``,
+        ``"WAW"`` or a ``+``-joined combination such as ``"RAW+WAW"``."""
+        bits = self._succ[src][dst]
+        return "+".join(name for name, bit in _KIND_NAMES if bits & bit)
 
     def is_acyclic(self) -> bool:
-        return nx.is_directed_acyclic_graph(self.graph)
+        """Always true: edges only point from earlier to later insertions."""
+        return True
 
     def topological_order(self) -> list[Task]:
-        """A valid execution order (insertion-order stable where possible)."""
-        order_index = {t: i for i, t in enumerate(self._tasks)}
-        return list(nx.lexicographical_topological_sort(
-            self.graph, key=lambda t: order_index[t]
-        ))
+        """A valid execution order: the insertion order."""
+        return list(self._tasks)
 
     def total_flops(self) -> float:
         return float(sum(t.flops for t in self._tasks))
+
+    def _longest_path(self, weight) -> float:
+        longest: dict[Task, float] = {}
+        for task in self._tasks:
+            longest[task] = weight(task) + max(
+                (longest[p] for p in self._pred[task]), default=0)
+        return max(longest.values(), default=0)
 
     def critical_path_flops(self) -> float:
         """Maximum sum of task flops along any dependency chain.
@@ -124,14 +159,7 @@ class TaskGraph:
         This is the lower bound on execution "work depth" and is what
         limits strong scaling once communication is free.
         """
-        if not self._tasks:
-            return 0.0
-        longest: dict[Task, float] = {}
-        for task in self.topological_order():
-            preds = self.predecessors(task)
-            best = max((longest[p] for p in preds), default=0.0)
-            longest[task] = best + float(task.flops)
-        return max(longest.values())
+        return float(self._longest_path(lambda t: float(t.flops)))
 
     def critical_path_length(self) -> int:
         """Number of tasks on the longest dependency chain.
@@ -140,13 +168,7 @@ class TaskGraph:
         unbounded workers, a run can never take fewer "task steps" than
         the critical path has tasks.
         """
-        if not self._tasks:
-            return 0
-        depth: dict[Task, int] = {}
-        for task in self.topological_order():
-            preds = self.predecessors(task)
-            depth[task] = 1 + max((depth[p] for p in preds), default=0)
-        return max(depth.values())
+        return int(self._longest_path(lambda t: 1))
 
     def task_counts_by_name(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -156,7 +178,7 @@ class TaskGraph:
 
     def execute_sequential(self) -> None:
         """Execute all task bodies in a valid topological order."""
-        for task in self.topological_order():
+        for task in self._tasks:
             task.execute()
 
     def __len__(self) -> int:

@@ -108,7 +108,7 @@ class SchedulerError(RuntimeError):
 
 def _ready_heap(graph: TaskGraph):
     """Initial ready set plus the bookkeeping the drain loops share."""
-    indegree = {t: len(graph.predecessors(t)) for t in graph.tasks}
+    indegree = {t: graph.in_degree(t) for t in graph.tasks}
     order_index = {t: i for i, t in enumerate(graph.tasks)}
     ready: list[tuple[int, int, Task]] = []
     for t in graph.tasks:
@@ -191,8 +191,6 @@ class Scheduler:
 
     def run(self, graph: TaskGraph) -> ScheduleResult:
         """Execute (and time) ``graph`` under the configured mode."""
-        if not graph.is_acyclic():
-            raise RuntimeError("task graph contains a cycle")
         if self.execution == "simulated":
             return self._run_simulated(graph)
         if self.execution == "process":

@@ -361,9 +361,10 @@ class StoreBinding:
         return tile
 
     # -- writes ---------------------------------------------------------
-    def set(self, key: tuple[int, int], payload: np.ndarray,
+    def set(self, key: tuple[int, int], payload: np.ndarray | Tile,
             precision: Precision | None) -> None:
-        """Store-side ``set_tile``: replace the tile under the store lock."""
+        """Store-side ``set_tile``: replace the tile under the store lock
+        (a :class:`Tile` payload is stored as is)."""
         store = self.store
         with store._lock:
             m = self.matrix()
@@ -378,7 +379,8 @@ class StoreBinding:
                     slot = self.index.get(key)
                     precision = (slot.precision if slot is not None
                                  else m.default_precision)
-            tile = Tile(payload, precision=precision, coords=key)
+            tile = (payload if isinstance(payload, Tile)
+                    else Tile(payload, precision=precision, coords=key))
             self.clean.discard(key)  # any existing slot is now stale
             store._evict_to_fit(tile.nbytes, exclude=(self.bid, key))
             with m._grid_lock:

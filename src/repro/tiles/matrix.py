@@ -240,10 +240,22 @@ class TileMatrix:
             return Tile(tile.to_float64().T, precision=tile.precision, coords=(i, j))
         return tile
 
-    def set_tile(self, i: int, j: int, data: np.ndarray,
+    def set_tile(self, i: int, j: int, data: np.ndarray | Tile,
                  precision: Precision | str | None = None) -> None:
-        """Overwrite tile ``(i, j)`` (writes to upper mirror the lower)."""
+        """Overwrite tile ``(i, j)`` (writes to upper mirror the lower).
+
+        A :class:`Tile` (the tile kernels' output) is stored as is — its
+        payload already lies on its precision's grid — unless the write
+        mirrors it or asks for another precision.
+        """
         key, transpose = self._stored_key(i, j)
+        if isinstance(data, Tile):
+            if precision is None:
+                precision = data.precision
+            if not transpose and Precision.from_string(precision) is data.precision:
+                self._put(key, data)
+                return
+            data = data.data
         payload = np.asarray(data).T if transpose else np.asarray(data)
         expected = self.layout.tile_shape(*key)
         if payload.shape != expected:
@@ -267,6 +279,18 @@ class TileMatrix:
                 else self.default_precision
             )
             tile = Tile(payload, precision=p, coords=key)
+            self._tiles[key] = tile
+
+    def _put(self, key: tuple[int, int], tile: Tile) -> None:
+        expected = self.layout.tile_shape(*key)
+        if tile.shape != expected:
+            raise ValueError(
+                f"tile {key} expects shape {expected}, got {tile.shape}"
+            )
+        if self._binding is not None:
+            self._binding.set(key, tile, tile.precision)
+            return
+        with self._grid_lock:
             self._tiles[key] = tile
 
     def tile_precision(self, i: int, j: int) -> Precision:

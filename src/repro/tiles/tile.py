@@ -43,6 +43,23 @@ class Tile:
     def __post_init__(self) -> None:
         self.data = quantize(np.asarray(self.data), self.precision)
 
+    @classmethod
+    def on_grid(cls, data: np.ndarray, precision: Precision,
+                coords: tuple[int, int] | None = None) -> "Tile":
+        """Wrap a payload that is already ``quantize(..., precision)``
+        output — on the format's grid, in its storage dtype — without
+        rounding it a second time.
+
+        This is how the tile kernels hand back their results: each
+        kernel rounds its output exactly once.
+        """
+        tile = cls.__new__(cls)
+        tile.data = data
+        tile.precision = precision
+        tile.coords = coords
+        tile._version = 0
+        return tile
+
     # ------------------------------------------------------------------
     # basic properties
     # ------------------------------------------------------------------
@@ -142,7 +159,7 @@ class Tile:
         return float(np.max(np.abs(d))) if d.size else 0.0
 
     def copy(self) -> "Tile":
-        return Tile(data=self.to_float64(), precision=self.precision, coords=self.coords)
+        return Tile.on_grid(self.data.copy(), self.precision, self.coords)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         where = f" at {self.coords}" if self.coords is not None else ""

@@ -1,4 +1,5 @@
-"""Tests for the single-tile POTRF/TRSM/SYRK/GEMM kernels."""
+"""Tests for the single-tile POTRF/TRSM/SYRK/GEMM kernels (which return
+:class:`~repro.tiles.tile.Tile` objects; ``.to_float64()`` reads them)."""
 
 import numpy as np
 import pytest
@@ -25,15 +26,16 @@ def spd_tile(rng):
 
 class TestPotrf:
     def test_matches_numpy_in_fp64(self, spd_tile):
-        l = tile_potrf(spd_tile, precision=Precision.FP64)
+        l = tile_potrf(spd_tile, precision=Precision.FP64).to_float64()
         np.testing.assert_allclose(l, np.linalg.cholesky(spd_tile), rtol=1e-12)
 
     def test_reconstruction_fp32(self, spd_tile):
-        l = tile_potrf(spd_tile, precision=Precision.FP32)
+        l = tile_potrf(spd_tile, precision=Precision.FP32).to_float64()
         np.testing.assert_allclose(l @ l.T, spd_tile, rtol=1e-4, atol=1e-4)
 
     def test_upper_option(self, spd_tile):
-        u = tile_potrf(spd_tile, precision=Precision.FP64, lower=False)
+        u = tile_potrf(spd_tile, precision=Precision.FP64,
+                       lower=False).to_float64()
         np.testing.assert_allclose(u.T @ u, spd_tile, rtol=1e-10)
 
     def test_indefinite_raises(self):
@@ -41,8 +43,8 @@ class TestPotrf:
             tile_potrf(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_low_precision_quantizes_input(self, spd_tile):
-        l16 = tile_potrf(spd_tile, precision=Precision.FP16)
-        l64 = tile_potrf(spd_tile, precision=Precision.FP64)
+        l16 = tile_potrf(spd_tile, precision=Precision.FP16).to_float64()
+        l64 = tile_potrf(spd_tile, precision=Precision.FP64).to_float64()
         assert not np.allclose(l16, l64)
         np.testing.assert_allclose(l16, l64, rtol=0.02, atol=0.02)
 
@@ -51,28 +53,32 @@ class TestTrsm:
     def test_right_transposed(self, spd_tile, rng):
         l = np.linalg.cholesky(spd_tile)
         b = rng.standard_normal((10, 16))
-        x = tile_trsm(l, b, precision=Precision.FP64, side="right", trans=True)
+        x = tile_trsm(l, b, precision=Precision.FP64, side="right",
+                      trans=True).to_float64()
         np.testing.assert_allclose(x @ l.T, b, rtol=1e-10)
 
     def test_right_not_transposed(self, spd_tile, rng):
         l = np.linalg.cholesky(spd_tile)
         b = rng.standard_normal((10, 16))
-        x = tile_trsm(l, b, precision=Precision.FP64, side="right", trans=False)
+        x = tile_trsm(l, b, precision=Precision.FP64, side="right",
+                      trans=False).to_float64()
         np.testing.assert_allclose(x @ l, b, rtol=1e-10)
 
     def test_left_variants(self, spd_tile, rng):
         l = np.linalg.cholesky(spd_tile)
         b = rng.standard_normal((16, 5))
-        x1 = tile_trsm(l, b, precision=Precision.FP64, side="left", trans=False)
+        x1 = tile_trsm(l, b, precision=Precision.FP64, side="left",
+                       trans=False).to_float64()
         np.testing.assert_allclose(l @ x1, b, rtol=1e-10)
-        x2 = tile_trsm(l, b, precision=Precision.FP64, side="left", trans=True)
+        x2 = tile_trsm(l, b, precision=Precision.FP64, side="left",
+                       trans=True).to_float64()
         np.testing.assert_allclose(l.T @ x2, b, rtol=1e-10)
 
     def test_upper_triangular_factor(self, spd_tile, rng):
         u = np.linalg.cholesky(spd_tile).T
         b = rng.standard_normal((8, 16))
         x = tile_trsm(u, b, precision=Precision.FP64, side="right", trans=False,
-                      lower=False)
+                      lower=False).to_float64()
         np.testing.assert_allclose(x @ u, b, rtol=1e-10)
 
     def test_invalid_side(self, spd_tile, rng):
@@ -84,7 +90,8 @@ class TestSyrkGemm:
     def test_syrk_update(self, rng):
         a = rng.standard_normal((12, 8))
         c = np.eye(12) * 10.0
-        out = tile_syrk(a, c, precision=Precision.FP64, alpha=-1.0, beta=1.0)
+        out = tile_syrk(a, c, precision=Precision.FP64, alpha=-1.0,
+                        beta=1.0).to_float64()
         np.testing.assert_allclose(out, c - a @ a.T, rtol=1e-10)
 
     def test_gemm_update(self, rng):
@@ -92,7 +99,7 @@ class TestSyrkGemm:
         b = rng.standard_normal((7, 9))
         c = rng.standard_normal((6, 7))
         out = tile_gemm(a, b, c, precision=Precision.FP64, alpha=-1.0, beta=1.0,
-                        transb=True)
+                        transb=True).to_float64()
         np.testing.assert_allclose(out, c - a @ b.T, rtol=1e-10)
 
     def test_fp16_gemm_less_accurate_than_fp32(self, rng):
@@ -100,8 +107,10 @@ class TestSyrkGemm:
         b = rng.standard_normal((20, 40))
         c = np.zeros((20, 20))
         exact = -a @ b.T
-        err16 = np.linalg.norm(tile_gemm(a, b, c, precision=Precision.FP16) - exact)
-        err32 = np.linalg.norm(tile_gemm(a, b, c, precision=Precision.FP32) - exact)
+        err16 = np.linalg.norm(
+            tile_gemm(a, b, c, precision=Precision.FP16).to_float64() - exact)
+        err32 = np.linalg.norm(
+            tile_gemm(a, b, c, precision=Precision.FP32).to_float64() - exact)
         assert err32 < err16
 
 

@@ -109,8 +109,8 @@ class TestBehaviorEquality:
         a = _spd_tile()
         spec = _round_trip(PotrfSpec(Precision.FP32))
         out = spec.run(a)
-        expect = tile_potrf(a.to_float64(), precision=Precision.FP32)
-        np.testing.assert_array_equal(out.to_float64(), expect)
+        expect = tile_potrf(a, precision=Precision.FP32)
+        np.testing.assert_array_equal(out.to_float64(), expect.to_float64())
         assert out.precision is Precision.FP32
         assert out.coords == a.coords
 
@@ -120,11 +120,9 @@ class TestBehaviorEquality:
         aik = _tile(seed=2, coords=(1, 0))
         spec = _round_trip(TrsmSpec(Precision.FP32, Precision.FP16))
         out = spec.run(lkk, aik)
-        expect = tile_trsm(lkk.to_float64(), aik.to_float64(),
-                           precision=Precision.FP32, side="right", trans=True)
-        np.testing.assert_array_equal(
-            out.to_float64(),
-            Tile(expect, precision=Precision.FP16).to_float64())
+        expect = tile_trsm(lkk, aik, precision=Precision.FP32, side="right",
+                           trans=True, storage=Precision.FP16)
+        np.testing.assert_array_equal(out.to_float64(), expect.to_float64())
         assert out.precision is Precision.FP16
         assert out.coords == aik.coords
 
@@ -133,10 +131,9 @@ class TestBehaviorEquality:
         aii = _spd_tile(seed=4, coords=(2, 2))
         spec = _round_trip(SyrkSpec(Precision.FP32, key_ik=7))
         out = spec.run(lik, aii)
-        expect = tile_syrk(panel_operand(lik.to_float64(), Precision.FP32),
-                           aii.to_float64(), precision=Precision.FP32,
-                           alpha=-1.0, beta=1.0)
-        np.testing.assert_array_equal(out.to_float64(), expect)
+        expect = tile_syrk(panel_operand(lik, Precision.FP32), aii,
+                           precision=Precision.FP32, alpha=-1.0, beta=1.0)
+        np.testing.assert_array_equal(out.to_float64(), expect.to_float64())
 
     def test_gemm_trail(self):
         lik = _tile(seed=5, coords=(2, 0))
@@ -144,11 +141,11 @@ class TestBehaviorEquality:
         aij = _tile(seed=7, coords=(2, 1), precision=Precision.FP64)
         spec = _round_trip(GemmTrailSpec(Precision.FP32, key_ik=8, key_jk=9))
         out = spec.run(lik, ljk, aij)
-        expect = tile_gemm(panel_operand(lik.to_float64(), Precision.FP32),
-                           panel_operand(ljk.to_float64(), Precision.FP32),
-                           aij.to_float64(), precision=Precision.FP32,
-                           alpha=-1.0, beta=1.0, transb=True)
-        np.testing.assert_array_equal(out.to_float64(), expect)
+        expect = tile_gemm(panel_operand(lik, Precision.FP32),
+                           panel_operand(ljk, Precision.FP32), aij,
+                           precision=Precision.FP32, alpha=-1.0, beta=1.0,
+                           transb=True)
+        np.testing.assert_array_equal(out.to_float64(), expect.to_float64())
 
     def test_operand_cache_hit_is_bitwise_stable(self):
         lik = _tile(seed=3, coords=(2, 0))
